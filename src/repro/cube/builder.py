@@ -47,6 +47,7 @@ item covers, so no information is lost.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -599,7 +600,7 @@ class SegregationDataCubeBuilder:
                 key,
                 cover,
                 mined.context_tvecs[ca_part],
-                db,
+                db.unit_counts,
                 mined.minsup_pop,
                 mined.minsup_min,
                 population=mined.context_pops[ca_part],
@@ -616,13 +617,16 @@ class SegregationDataCubeBuilder:
         key: CellKey,
         minority_cover: "Cover | None",
         context_tvec: np.ndarray,
-        db: TransactionDatabase,
+        count_units: "Callable[[Cover], np.ndarray]",
         minsup_pop: int,
         minsup_min: int,
         population: "int | None" = None,
         n_units: "int | None" = None,
     ) -> "CellStats | None":
         """Fill one cell from covers; None when below thresholds.
+
+        ``count_units`` splits the minority cover into per-unit counts
+        (the database's kernel; the naive oracle passes its own).
 
         ``population`` / ``n_units`` take the per-context values already
         derived by :meth:`mine_coordinates`; when None (the lazy
@@ -644,7 +648,7 @@ class SegregationDataCubeBuilder:
                 n_units=n_units,
                 indexes={spec.name: float("nan") for spec in self.indexes},
             )
-        mvec = db.unit_counts(minority_cover)
+        mvec = count_units(minority_cover)
         minority = int(mvec.sum())
         if minority < minsup_min:
             return None
@@ -682,13 +686,12 @@ class _LazyResolver:
     def warm(self) -> None:
         """Force the database's lazily built shared state.
 
-        The item covers and the unit→rows grouping are cached on first
-        use without a lock; building them up front (the serving layer
-        calls this) makes every later resolver call a pure read, safe
-        for concurrent reader threads.
+        The item covers are cached on first use without a lock;
+        building them up front (the serving layer calls this) makes
+        every later resolver call a pure read, safe for concurrent
+        reader threads.
         """
         self._db.covers()
-        self._db.unit_counts(self._db.full_cover())
 
     def __call__(self, key: CellKey) -> "CellStats | None":
         sa_part, ca_part = key
@@ -699,8 +702,8 @@ class _LazyResolver:
             else context_cover
         )
         return self._builder._make_cell(
-            key, minority_cover, tvec, self._db, self._minsup_pop,
-            self._minsup_min
+            key, minority_cover, tvec, self._db.unit_counts,
+            self._minsup_pop, self._minsup_min
         )
 
 

@@ -92,8 +92,9 @@ class TemporalBuildState:
 
     #: Snapshot date this state describes (None for undated builds).
     date: "int | None"
-    #: Valid-row cover over the union database at this date.
-    active: Cover
+    #: Valid rows at this date: a table-order boolean mask over the
+    #: union table.
+    active: np.ndarray
     #: Frequent contexts (CA itemsets, root included) at this date.
     contexts: "frozenset[Itemset]"
     #: The cube at this date (live, resolver-backed).
@@ -147,10 +148,11 @@ class TemporalCubeEngine:
 
     # ------------------------------------------------------------------
 
-    def _as_cover(self, valid: "Cover | np.ndarray") -> Cover:
+    def _valid_mask(self, valid: "Cover | np.ndarray") -> np.ndarray:
+        """A date's valid rows as a table-order mask (covers map back)."""
         if isinstance(valid, Cover):
-            return valid
-        return self.db.as_cover(np.asarray(valid, dtype=bool))
+            return self.db.table_mask(valid)
+        return np.asarray(valid, dtype=bool)
 
     def _group_closed_info(
         self,
@@ -174,7 +176,7 @@ class TemporalCubeEngine:
         self, valid: "Cover | np.ndarray", date: "int | None" = None
     ) -> TemporalBuildState:
         """Full (cold) columnar build at one date; seeds the timeline."""
-        active = self._as_cover(valid)
+        active = self._valid_mask(valid)
         db = self.db.restrict(active)
         cube, mined = self.builder._build_mined(db)
         contexts = frozenset(mined.context_tvecs)
@@ -237,12 +239,12 @@ class TemporalCubeEngine:
     ) -> TemporalBuildState:
         """Advance the timeline one date, recomputing only what changed."""
         started = time.perf_counter()
-        active = self._as_cover(valid)
+        active = self._valid_mask(valid)
         diff = TableDiff(
             old_date=state.date if state.date is not None else 0,
             new_date=date if date is not None else 0,
-            valid_old=state.active.to_bools(),
-            valid_new=active.to_bools(),
+            valid_old=state.active,
+            valid_new=active,
         )
         if diff.n_changed == 0:
             return replace(

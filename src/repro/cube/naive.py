@@ -13,6 +13,8 @@ from __future__ import annotations
 import time
 from itertools import combinations
 
+import numpy as np
+
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cell import CellStats
 from repro.cube.coordinates import CellKey
@@ -79,6 +81,12 @@ class NaiveCubeBuilder:
         covers = db.covers()
         full = db.full_cover()
 
+        def count_units(cover) -> np.ndarray:
+            # The oracle's own per-row split, independent of the
+            # database's unit-count kernels it is checked against.
+            return np.bincount(db.units[cover.to_bools()],
+                               minlength=db.n_units)
+
         cells: dict[CellKey, CellStats] = {}
         n_candidates = 0
         for ca_size in range(0, max_ca + 1):
@@ -86,7 +94,7 @@ class NaiveCubeBuilder:
                 context_cover = full
                 for item in ca_combo:
                     context_cover = context_cover & covers[item]
-                tvec = db.unit_counts(context_cover)
+                tvec = count_units(context_cover)
                 if int(tvec.sum()) < minsup_pop:
                     n_candidates += 1
                     continue
@@ -98,8 +106,8 @@ class NaiveCubeBuilder:
                             minority_cover = minority_cover & covers[item]
                         key = (frozenset(sa_combo), frozenset(ca_combo))
                         stats = inner._make_cell(
-                            key, minority_cover, tvec, db, minsup_pop,
-                            minsup_min
+                            key, minority_cover, tvec, count_units,
+                            minsup_pop, minsup_min
                         )
                         if stats is not None:
                             cells[key] = stats

@@ -46,7 +46,13 @@ from repro.cube.builder import (
     eval_context_block,
 )
 from repro.cube.table import CellTable
-from repro.itemsets.coverset import WORD_BITS, WORD_DTYPE, Cover, CoverSet
+from repro.itemsets.coverset import (
+    WORD_BITS,
+    WORD_DTYPE,
+    Cover,
+    CoverSet,
+    cover_words,
+)
 from repro.itemsets.items import ItemDictionary
 from repro.itemsets.transactions import TransactionDatabase
 
@@ -81,10 +87,7 @@ def _pack_cover_matrix(covers: "list[Cover]", n_bits: int) -> np.ndarray:
     n_words = (n_bits + WORD_BITS - 1) // WORD_BITS
     out = np.zeros((len(covers), n_words), dtype=WORD_DTYPE)
     for i, cover in enumerate(covers):
-        if isinstance(cover, CoverSet):
-            out[i] = cover.words
-        else:
-            out[i] = CoverSet.from_bools(cover.to_bools()).words
+        out[i] = cover_words(cover)
     return out
 
 
@@ -136,8 +139,10 @@ def _compute_groups(
         buffer=cover_buf,
     )
     units = np.ndarray((cfg["n_rows"],), dtype=np.int64, buffer=units_buf)
-    # A units-only counting database: no items, same unit->rows
-    # grouping — unit_counts_many runs verbatim.
+    # A units-only counting database over the parent's stored (already
+    # unit-sorted) labels: its row_order is the identity, so the shared
+    # cover words need no remapping and unit_counts_many — the same
+    # shape-selected kernel — runs verbatim.
     empty = np.empty(0, dtype=np.int64)
     db = TransactionDatabase.from_item_arrays(
         empty, empty, cfg["n_rows"], ItemDictionary(), units=units

@@ -160,7 +160,10 @@ class TableDiff:
         from the result has a bit-identical restricted cover at both
         dates, so no itemset containing it can have changed; this is
         the pruning wedge the incremental fill drives through the
-        context lattice.
+        context lattice.  The validity masks are table order and reach
+        ``db``'s stored row order through
+        :meth:`~repro.itemsets.transactions.TransactionDatabase.as_cover`,
+        so the covers are ``db``'s own.
         """
         changed = db.as_cover(self.changed_mask)
         out: "dict[int, Cover]" = {}

@@ -24,6 +24,7 @@ from repro.itemsets.coverset import (
     WORD_DTYPE,
     Cover,
     cover_digest,
+    cover_words,
     popcount_rows,
 )
 from repro.itemsets.eclat import closure_of, frequent_triples, mine_root
@@ -185,12 +186,6 @@ def support_of_cover(cover: "Cover | np.ndarray") -> int:
 # without touching any cover.
 
 
-def _pack_words(cover: Cover) -> np.ndarray:
-    from repro.itemsets.parallel import pack_cover_words
-
-    return pack_cover_words(cover)
-
-
 def closure_matrix(
     db: TransactionDatabase,
 ) -> "tuple[np.ndarray, int, dict[int, int]]":
@@ -206,7 +201,7 @@ def closure_matrix(
     matrix = np.zeros((len(all_ids), n_words), dtype=WORD_DTYPE)
     covers = db.covers()
     for row, item in enumerate(all_ids):
-        matrix[row] = _pack_words(covers[item])
+        matrix[row] = cover_words(covers[item])
     return matrix, len(dictionary.sa_ids), {
         item: row for row, item in enumerate(all_ids)
     }
@@ -285,7 +280,7 @@ def closure_flags(
             itemset,
             tuple(row_of[i] for i in itemset),
             len(sa_part), len(ca_part),
-            _pack_words(cover), cover.support(),
+            cover_words(cover), cover.support(),
         ))
     out.update(
         closure_flag_entries(matrix, n_sa, max_sa, max_ca, entries)

@@ -63,6 +63,14 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
     return per_byte.reshape(words.shape[0], -1).sum(axis=1, dtype=np.int64)
 
 
+def popcount_each(words: np.ndarray) -> np.ndarray:
+    """Set bits of every ``uint64`` word, same shape (``uint8``)."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(words)
+    per_byte = _POPCOUNT_LUT[words.view(np.uint8)]
+    return per_byte.reshape(*words.shape, 8).sum(axis=-1, dtype=np.uint8)
+
+
 class Cover:
     """Abstract cover interface shared by every codec.
 
@@ -312,9 +320,8 @@ def cover_digest(cover: Cover) -> bytes:
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
-def as_cover(value: "Cover | np.ndarray | Iterable[bool]",
-             codec: str = "packed") -> Cover:
-    """Coerce a value into a :class:`Cover` (no-op when it already is one)."""
-    if isinstance(value, Cover):
-        return value
-    return get_codec(codec).from_bools(np.asarray(value, dtype=bool))
+def cover_words(cover: Cover) -> np.ndarray:
+    """A cover's bits as packed little-endian ``uint64`` words."""
+    if isinstance(cover, CoverSet):
+        return cover.words
+    return CoverSet.from_bools(cover.to_bools()).words

@@ -43,7 +43,7 @@ def frequent_triples(
     db: TransactionDatabase,
     minsup: int,
     items: "list[int] | None" = None,
-    within: "Cover | None" = None,
+    within: "Cover | np.ndarray | None" = None,
 ) -> "list[FrequentTriple]":
     """The frequent 1-items as ``(item, cover, support)``, support-sorted.
 
@@ -72,6 +72,7 @@ def frequent_triples(
             if support >= minsup:
                 frequent.append((i, covers[i], support))
     else:
+        within = db.as_cover(within)
         base_supports = db.cached_item_supports()
         for i in candidate_ids:
             if base_supports[i] < minsup:
@@ -132,7 +133,7 @@ def mine_eclat(
     items: "list[int] | None" = None,
     max_len: "int | None" = None,
     with_covers: bool = False,
-    within: "Cover | None" = None,
+    within: "Cover | np.ndarray | None" = None,
     workers: "int | None" = None,
 ) -> "dict[Itemset, int] | dict[Itemset, Cover]":
     """Mine all frequent itemsets (support >= ``minsup``), depth-first.
@@ -147,11 +148,13 @@ def mine_eclat(
         When True the result maps itemsets to their covers
         (support = ``cover.support()``); otherwise to integer supports.
     within:
-        Optional root cover: supports and covers are evaluated inside
-        this transaction subset only (every item cover is intersected
-        with it before the DFS).  The incremental cube fill uses this
-        to mine the SA refinements of one context without touching
-        rows outside the context's cover.
+        Optional root cover, or a table-order boolean row mask (see
+        :meth:`~repro.itemsets.transactions.TransactionDatabase.as_cover`):
+        supports and covers are evaluated inside this transaction
+        subset only (every item cover is intersected with it before
+        the DFS).  The incremental cube fill uses this to mine the SA
+        refinements of one context without touching rows outside the
+        context's cover.
     workers:
         When given, fan the root subtrees across a ``multiprocessing``
         pool (see :mod:`repro.itemsets.parallel`); the result —
@@ -331,8 +334,8 @@ def closure_of(
 
     For an itemset X with cover c, ``closure_of(db, c)`` is the unique
     maximal itemset with the same cover — the canonical representative the
-    closed-itemset cube stores.  ``cover`` may also be a dense boolean
-    array; it is coerced into the database's codec.
+    closed-itemset cube stores.  ``cover`` may also be a table-order
+    boolean mask; it is coerced into the database's codec and row order.
     """
     covers = db.covers()
     cover = db.as_cover(cover)

@@ -66,6 +66,7 @@ from repro.itemsets.coverset import (
     Cover,
     CoverSet,
     cover_digest,
+    cover_words,
     get_codec,
 )
 from repro.itemsets.transactions import TransactionDatabase
@@ -99,13 +100,6 @@ def _segment_name(tag: str) -> str:
     both the success and the failure path.
     """
     return f"repro-mine-{tag}-{os.getpid()}-{next(_SEGMENT_SEQ)}"
-
-
-def pack_cover_words(cover: Cover) -> np.ndarray:
-    """A cover's bits as packed little-endian ``uint64`` words."""
-    if isinstance(cover, CoverSet):
-        return cover.words
-    return CoverSet.from_bools(cover.to_bools()).words
 
 
 def partition_roots(
@@ -331,9 +325,9 @@ def _run_pool(
     n_bits = len(db)
     n_words = (n_bits + WORD_BITS - 1) // WORD_BITS
     matrix = np.zeros((1 + len(frequent), n_words), dtype=WORD_DTYPE)
-    matrix[0] = pack_cover_words(db.full_cover())
+    matrix[0] = cover_words(db.full_cover())
     for i, (_, cover, _) in enumerate(frequent):
-        matrix[i + 1] = pack_cover_words(cover)
+        matrix[i + 1] = cover_words(cover)
     partitions = partition_roots(
         [support for _, _, support in frequent],
         resolve_workers(workers),
@@ -396,7 +390,7 @@ def mine_eclat_parallel(
     items: "list[int] | None" = None,
     max_len: "int | None" = None,
     with_covers: bool = False,
-    within: "Cover | None" = None,
+    within: "Cover | np.ndarray | None" = None,
     workers: "int | None" = None,
 ) -> "dict[Itemset, int] | dict[Itemset, Cover]":
     """``mine_eclat`` across a worker pool; bit-identical output.
@@ -509,7 +503,7 @@ def closure_flags_parallel(
             itemset,
             tuple(row_of[i] for i in itemset),
             len(sa_part), len(ca_part),
-            pack_cover_words(cover).tobytes(), cover.support(),
+            cover_words(cover).tobytes(), cover.support(),
         ))
     if not entries:
         return out

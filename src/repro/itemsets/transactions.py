@@ -15,6 +15,20 @@ packed-bitmap :class:`~repro.itemsets.coverset.CoverSet` objects (or the
 boolean arrays.  Encoding, per-item supports and per-unit splitting are
 all vectorized; no per-row Python loop touches the hot path.
 
+Rows are stored **clustered by unit**: every constructor sorts the
+transactions by unit label (stably, so rows of one unit keep their table
+order) and keeps the permutation as ``row_order`` — stored row ``i`` is
+table row ``row_order[i]``.  Each unit then owns one contiguous bit
+range of every cover, which is what lets
+:meth:`~TransactionDatabase.unit_counts_many` count a packed cover with
+word popcounts and one prefix difference per unit boundary instead of a
+per-row gather.
+Covers (and ``units``, ``rows``) speak the stored order; every API that
+takes table row masks — :meth:`~TransactionDatabase.as_cover`,
+:meth:`~TransactionDatabase.restrict`, the ``unit_counts`` methods on
+boolean arrays, ``within=`` masks — maps them through ``row_order``, and
+:meth:`~TransactionDatabase.table_mask` maps a cover back.
+
 Two encoding paths produce the same database bit for bit:
 
 * :func:`encode_table` — one-shot, for tables that fit in memory;
@@ -39,12 +53,23 @@ import numpy as np
 from repro.errors import MiningError
 from repro.etl.schema import Role, Schema
 from repro.etl.table import CategoricalColumn, MultiValuedColumn, Table
-from repro.itemsets.coverset import Cover, as_cover, get_codec
+from repro.itemsets.coverset import (
+    WORD_BITS,
+    Cover,
+    CoverSet,
+    cover_words,
+    get_codec,
+    popcount_each,
+)
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 
 #: Target entry count of one merge window in the chunked-encode
 #: finalisation (bounds scratch at a few dozen MB regardless of input).
 _ENCODE_WINDOW_ENTRIES = 1 << 22
+
+#: Words per chunk of the segmented unit-count kernel: a cache-sized
+#: block (1 MB of cover words) beats larger chunks on the build covers.
+_SEGMENT_CHUNK_WORDS = 1 << 17
 
 
 class TransactionDatabase:
@@ -59,7 +84,12 @@ class TransactionDatabase:
     dictionary:
         The :class:`~repro.itemsets.items.ItemDictionary` describing ids.
     units:
-        Optional ``int64`` array with the unit id of each transaction.
+        Optional ``int64`` array with the unit id of each transaction,
+        in stored order (ascending: rows are clustered by unit).
+    row_order:
+        ``int64`` permutation from stored rows to table rows: stored row
+        ``i`` is row ``row_order[i]`` of the encoded table (the identity
+        when the table was already sorted by unit, or is unlabelled).
     codec:
         Cover representation: ``"packed"`` (default), ``"bool"`` or
         ``"ewah"`` — see :mod:`repro.itemsets.coverset`.
@@ -83,7 +113,7 @@ class TransactionDatabase:
             count=int(indptr[-1]),
         )
         self._init(indptr, indices, dictionary, units, codec)
-        self._rows = normalized
+        self._rows = [normalized[i] for i in self.row_order]
 
     @classmethod
     def from_item_arrays(
@@ -161,25 +191,36 @@ class TransactionDatabase:
         units: np.ndarray | None,
         codec: str,
     ) -> None:
+        """Store a table-order CSR, clustering its rows by unit label."""
         get_codec(codec)  # validate the name eagerly
+        n = len(indptr) - 1
+        row_order = np.arange(n, dtype=np.int64)
+        bounds: np.ndarray | None = None
+        if units is not None:
+            units = np.asarray(units, dtype=np.int64)
+            if len(units) != n:
+                raise MiningError(
+                    f"{len(units)} unit labels for {n} transactions"
+                )
+            if n and units.min() < 0:
+                raise MiningError("unit ids must be non-negative")
+            if np.any(units[1:] < units[:-1]):
+                row_order = np.argsort(units, kind="stable")
+                units = units[row_order]
+                indptr, indices = _permute_rows(indptr, indices, row_order)
+            sizes = np.bincount(units)
+            bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=bounds[1:])
         self._indptr = indptr
         self._indices = indices
         self.dictionary = dictionary
         self.codec = codec
-        if units is not None:
-            units = np.asarray(units, dtype=np.int64)
-            if len(units) != len(indptr) - 1:
-                raise MiningError(
-                    f"{len(units)} unit labels for {len(indptr) - 1} "
-                    "transactions"
-                )
-            if len(units) and units.min() < 0:
-                raise MiningError("unit ids must be non-negative")
         self.units = units
+        self.row_order = row_order
+        # Unit u owns stored rows [bounds[u], bounds[u + 1]).
+        self._unit_bounds = bounds
         self._covers: dict[int, Cover] | None = None
         self._item_supports: np.ndarray | None = None
-        self._unit_order: np.ndarray | None = None
-        self._unit_indptr: np.ndarray | None = None
         self._active: Cover | None = None
 
     def restrict(self, active: "Cover | np.ndarray") -> "TransactionDatabase":
@@ -195,22 +236,19 @@ class TransactionDatabase:
         date; covers of two dates remain directly comparable because
         they index the same rows (see :mod:`repro.cube.incremental`).
 
-        Construction is cheap — one cover AND per item — and the
-        unit→rows grouping is shared with the base database.  The
-        horizontal ``rows`` view is not available on a restricted
-        database (it would expose inactive rows), so the cover-free
-        mining backends (fpgrowth/apriori) reject it.
+        ``active`` is a table-order boolean mask or a cover of this
+        database (see :meth:`as_cover`).  Construction is cheap — one
+        cover AND per item — and the row layout is shared with the base
+        database.  The horizontal ``rows`` view is not available on a
+        restricted database (it would expose inactive rows), so the
+        cover-free mining backends (fpgrowth/apriori) reject it.
         """
-        flags = (
-            active.to_bools() if isinstance(active, Cover)
-            else np.asarray(active, dtype=bool)
-        )
-        if len(flags) != len(self):
+        if len(active) != len(self):
             raise MiningError(
-                f"active mask of {len(flags)} rows does not match "
+                f"active mask of {len(active)} rows does not match "
                 f"database of {len(self)}"
             )
-        active_cover = self.as_cover(flags)
+        active_cover = self.as_cover(active)
         if self._active is not None:
             # Restricting a restricted view composes: the item covers
             # below are already intersected with the base restriction,
@@ -227,10 +265,8 @@ class TransactionDatabase:
             i: cover & active_cover for i, cover in self.covers().items()
         }
         db._item_supports = None
-        if self.units is not None:
-            self._unit_grouping()
-        db._unit_order = self._unit_order
-        db._unit_indptr = self._unit_indptr
+        db.row_order = self.row_order
+        db._unit_bounds = self._unit_bounds
         db._active = active_cover
         return db
 
@@ -268,9 +304,9 @@ class TransactionDatabase:
     @property
     def n_units(self) -> int:
         """Number of distinct unit labels (0 when unlabelled)."""
-        if self.units is None or len(self.units) == 0:
+        if self._unit_bounds is None:
             return 0
-        return int(self.units.max()) + 1
+        return len(self._unit_bounds) - 1
 
     def item_supports(self) -> np.ndarray:
         """Support (transaction count) of every single item, vectorized."""
@@ -331,8 +367,31 @@ class TransactionDatabase:
         return get_codec(self.codec).ones(len(self))
 
     def as_cover(self, value: "Cover | np.ndarray") -> Cover:
-        """Coerce a boolean array into this database's cover codec."""
-        return as_cover(value, self.codec)
+        """A cover of this database from a table-order boolean mask.
+
+        The mask is permuted into stored order through ``row_order``.
+        A cover passes through unchanged (re-encoded when it is of
+        another codec): covers already speak the stored order.
+        """
+        codec = get_codec(self.codec)
+        if isinstance(value, codec):
+            return value
+        return codec.from_bools(self._stored_bools(value))
+
+    def table_mask(self, cover: Cover) -> np.ndarray:
+        """A cover's rows as a table-order boolean mask (inverts
+        :meth:`as_cover`)."""
+        self._check_width(len(cover))
+        mask = np.empty(len(self), dtype=bool)
+        mask[self.row_order] = cover.to_bools()
+        return mask
+
+    def _check_width(self, n_bits: int) -> None:
+        if n_bits != len(self):
+            raise MiningError(
+                f"cover of {n_bits} transactions does not match "
+                f"database of {len(self)}"
+            )
 
     def cover_of(self, itemset: Iterable[int]) -> Cover:
         """Cover of an itemset (word-wise AND of its item covers)."""
@@ -350,45 +409,13 @@ class TransactionDatabase:
         """Absolute support of an itemset."""
         return self.cover_of(itemset).support()
 
-    def _unit_grouping(self) -> tuple[np.ndarray, np.ndarray]:
-        """Precomputed unit→rows grouping: permutation + group offsets."""
-        if self._unit_order is None:
-            self._unit_order = np.argsort(self.units, kind="stable")
-            sizes = np.bincount(self.units, minlength=self.n_units)
-            indptr = np.zeros(self.n_units + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            self._unit_indptr = indptr
-        return self._unit_order, self._unit_indptr
-
     def unit_counts(self, cover: "Cover | np.ndarray") -> np.ndarray:
         """Per-unit transaction counts restricted to ``cover``.
 
-        Uses the cached unit→rows grouping: the cover's flags are
-        permuted into unit order once and summed per contiguous group
-        (``np.add.reduceat``), instead of fancy-indexing the unit array
-        by the cover on every call.
+        ``cover`` is a cover of this database or a table-order boolean
+        mask; the count runs through :meth:`unit_counts_many`'s kernel.
         """
-        if self.units is None:
-            raise MiningError("transaction database has no unit labels")
-        flags = (
-            cover.to_bools() if isinstance(cover, Cover)
-            else np.asarray(cover, dtype=bool)
-        )
-        if len(flags) != len(self):
-            raise MiningError(
-                f"cover of {len(flags)} transactions does not match "
-                f"database of {len(self)}"
-            )
-        order, indptr = self._unit_grouping()
-        counts = np.zeros(self.n_units, dtype=np.int64)
-        starts = indptr[:-1]
-        nonempty = indptr[1:] > starts
-        if nonempty.any():
-            grouped = flags[order].astype(np.int64)
-            # Empty units occupy zero width between consecutive nonempty
-            # starts, so reducing over nonempty starts alone is exact.
-            counts[nonempty] = np.add.reduceat(grouped, starts[nonempty])
-        return counts
+        return self.unit_counts_many([cover])[0]
 
     def unit_counts_many(
         self,
@@ -400,25 +427,84 @@ class TransactionDatabase:
         Returns an ``(len(covers), n_units)`` int64 matrix whose row
         ``j`` equals ``unit_counts(covers[j])`` — the minority-count
         matrix the columnar cube fill batches its index kernels over.
-        Instead of N separate permute-and-reduce passes (each a full
-        int64 permutation plus ``reduceat``), every cover contributes
-        the unit labels of its covered rows with one masked gather —
-        still an O(n_rows) mask scan per cover, but the cheapest one —
-        and a chunk of covers is then counted with a single flat
-        ``bincount`` over combined ``(cover, unit)`` keys, whose cost
-        is proportional to the covers' total support.  Chunking bounds
-        the gather *scratch* at ``max_chunk_indices`` labels (default
-        ~4M, i.e. ~32 MB); the returned matrix itself still scales
-        with ``len(covers) * n_units``, so callers needing bounded
-        peak memory batch their cover lists (as the columnar cube
-        fill does per context group).
+        The kernel is chosen from the database's shape:
+
+        * **segmented** when units average at least 64 rows
+          (``n_units <= n_words``): rows are clustered by unit, so unit
+          ``u``'s count is ``C(bounds[u + 1]) - C(bounds[u])`` where
+          ``C(r)`` counts the covered rows below ``r`` — word popcounts
+          summed between boundary words, a prefix sum over those
+          segments, plus one masked popcount of the boundary word.
+          O(n_words + n_units) per cover.
+        * **gather** otherwise (thousands of few-row units): every
+          cover contributes the unit labels of its covered rows with
+          one masked gather, and a chunk of covers is counted with a
+          single flat ``bincount`` over combined ``(cover, unit)``
+          keys.  O(n_rows) per cover, but cheaper than touching
+          ``n_units`` boundaries per cover when units are tiny.
+
+        ``max_chunk_indices`` bounds the scratch of one chunk: gathered
+        labels (default ~4M, i.e. ~32 MB), or cover words, which the
+        segmented kernel further caps at a cache-sized block.  The
+        returned matrix itself still scales with ``len(covers) *
+        n_units``, so callers needing bounded peak memory batch their
+        cover lists (as the columnar cube fill does per context group).
         """
         if self.units is None:
             raise MiningError("transaction database has no unit labels")
         covers = list(covers)
-        n = len(self)
+        out = np.zeros((len(covers), self.n_units), dtype=np.int64)
+        n_words = (len(self) + WORD_BITS - 1) // WORD_BITS
+        if 0 < self.n_units <= n_words:
+            self._count_segmented(covers, out, n_words, max_chunk_indices)
+        else:
+            self._count_gathered(covers, out, max_chunk_indices)
+        return out
+
+    def _count_segmented(
+        self,
+        covers: "list[Cover | np.ndarray]",
+        out: np.ndarray,
+        n_words: int,
+        max_chunk_indices: int,
+    ) -> None:
+        bounds = self._unit_bounds
+        word = bounds // WORD_BITS
+        # A boundary at n_rows on a word edge has no word of its own;
+        # its mask is empty, so any in-range word serves the gather.
+        edge = np.minimum(word, n_words - 1)
+        below = (
+            np.uint64(1) << (bounds % WORD_BITS).astype(np.uint64)
+        ) - np.uint64(1)
+        # Popcounts are summed only between distinct boundary words
+        # (strictly increasing starts, as reduceat needs); the prefix
+        # sum of those segments is the covered-row count below each
+        # boundary word, and column len(starts) is the total (word ==
+        # n_words).
+        starts = np.unique(np.concatenate(([0], word[word < n_words])))
+        column = np.searchsorted(starts, word)
+        step = max(1, min(max_chunk_indices, _SEGMENT_CHUNK_WORDS) // n_words)
+        for a in range(0, len(covers), step):
+            words = np.stack(
+                [self._stored_words(c) for c in covers[a:a + step]]
+            )
+            segments = np.add.reduceat(
+                popcount_each(words), starts, axis=1, dtype=np.int64
+            )
+            prefix = np.zeros((len(words), len(starts) + 1), dtype=np.int64)
+            np.cumsum(segments, axis=1, out=prefix[:, 1:])
+            below_bounds = prefix[:, column] + popcount_each(
+                words[:, edge] & below
+            )
+            out[a:a + len(words)] = np.diff(below_bounds, axis=1)
+
+    def _count_gathered(
+        self,
+        covers: "list[Cover | np.ndarray]",
+        out: np.ndarray,
+        max_chunk_indices: int,
+    ) -> None:
         n_units = self.n_units
-        out = np.zeros((len(covers), n_units), dtype=np.int64)
 
         def flush(start: int, parts: "list[np.ndarray]") -> None:
             k = len(parts)
@@ -437,16 +523,7 @@ class TransactionDatabase:
         chunk_parts: list[np.ndarray] = []
         budget = 0
         for idx, cover in enumerate(covers):
-            flags = (
-                cover.to_bools() if isinstance(cover, Cover)
-                else np.asarray(cover, dtype=bool)
-            )
-            if len(flags) != n:
-                raise MiningError(
-                    f"cover of {len(flags)} transactions does not "
-                    f"match database of {n}"
-                )
-            labels = self.units[flags]
+            labels = self.units[self._stored_bools(cover)]
             # Flush the pending chunk before this cover would overflow
             # it: flushed chunks never exceed the scratch bound unless
             # one cover alone does.
@@ -457,7 +534,22 @@ class TransactionDatabase:
             budget += len(labels)
         if chunk_parts:
             flush(chunk_start, chunk_parts)
-        return out
+
+    def _stored_bools(self, cover: "Cover | np.ndarray") -> np.ndarray:
+        """Stored-order flags of a cover or table-order mask."""
+        if isinstance(cover, Cover):
+            self._check_width(len(cover))
+            return cover.to_bools()
+        flags = np.asarray(cover, dtype=bool)
+        self._check_width(len(flags))
+        return flags[self.row_order]
+
+    def _stored_words(self, cover: "Cover | np.ndarray") -> np.ndarray:
+        """Stored-order packed words of a cover or table-order mask."""
+        if isinstance(cover, Cover):
+            self._check_width(len(cover))
+            return cover_words(cover)
+        return CoverSet.from_bools(self._stored_bools(cover)).words
 
 
 def encode_table(
@@ -466,8 +558,10 @@ def encode_table(
     """Encode a ``finalTable`` into a :class:`TransactionDatabase`.
 
     Each SA/CA column contributes items of the matching kind; the schema's
-    unit column becomes the per-transaction unit label.  Rows keep their
-    order, so covers index directly into the original table.
+    unit column becomes the per-transaction unit label.  Rows are stored
+    clustered by unit; ``db.row_order`` maps stored rows back to table
+    rows, and :meth:`TransactionDatabase.as_cover` /
+    :meth:`~TransactionDatabase.table_mask` translate row masks.
 
     Encoding is vectorized: each categorical column is translated in one
     shot by indexing a category→item-id array with its code array, and
@@ -522,6 +616,18 @@ def encode_table(
     return TransactionDatabase.from_item_arrays(
         row_ids, item_ids, n, dictionary, units, codec
     )
+
+
+def _permute_rows(
+    indptr: np.ndarray, indices: np.ndarray, order: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Reorder CSR rows: new row ``i`` is old row ``order[i]``."""
+    lengths = np.diff(indptr)[order]
+    new_indptr = np.zeros(len(indptr), dtype=np.int64)
+    np.cumsum(lengths, out=new_indptr[1:])
+    src = np.repeat(indptr[:-1][order] - new_indptr[:-1], lengths)
+    src += np.arange(len(src), dtype=np.int64)
+    return new_indptr, indices[src]
 
 
 def _mv_lengths_flat(

@@ -104,6 +104,17 @@ def _int_param(params: "dict[str, list[str]]", name: str, default: int
         ) from None
 
 
+def _count_param(params: "dict[str, list[str]]", name: str, default: int
+                 ) -> int:
+    """A non-negative integer parameter (result counts such as ``k``)."""
+    value = _int_param(params, name, default)
+    if value < 0:
+        raise ValueError(
+            f"parameter {name!r} must be non-negative, got {value}"
+        )
+    return value
+
+
 def _str_param(params: "dict[str, list[str]]", name: str,
                default: "str | None" = None) -> "str | None":
     values = params.get(name)
@@ -142,7 +153,7 @@ def _handle_top(service, params):
     return 200, payloads.top_payload(
         service,
         index_name=_index_param(service, params),
-        k=_int_param(params, "k", 10),
+        k=_count_param(params, "k", 10),
         min_minority=_int_param(params, "min_minority", 0),
         min_population=_int_param(params, "min_population", 0),
         min_units=_int_param(params, "min_units", 2),
@@ -223,7 +234,7 @@ def _handle_graph_info(graph_service, params):
 def _handle_graph_clusters(graph_service, params):
     return 200, payloads.graph_clusters_payload(
         graph_service,
-        k=_int_param(params, "k", 10),
+        k=_count_param(params, "k", 10),
         min_size=_int_param(params, "min_size", 1),
     )
 
@@ -238,7 +249,7 @@ def _handle_graph_degree(graph_service, params):
                 f"parameter 'node' must be an integer, got {node!r}"
             ) from None
     return 200, payloads.graph_degree_payload(
-        graph_service, node=node, k=_int_param(params, "k", 10)
+        graph_service, node=node, k=_count_param(params, "k", 10)
     )
 
 

@@ -43,8 +43,8 @@ def _disk_info(path) -> "dict[str, int]":
 def _warm(cube: SegregationCube) -> SegregationCube:
     # Build all lazy derived state up front: once warmed, queries
     # never write to shared structures.  For live closed-mode cubes
-    # that includes the resolver's transaction-database caches
-    # (item covers, unit grouping), which are also built lazily.
+    # that includes the resolver's transaction-database item covers,
+    # which are also built lazily.
     cube.table.warm()
     resolver_warm = getattr(getattr(cube, "_resolver", None), "warm", None)
     if callable(resolver_warm):

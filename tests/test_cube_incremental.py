@@ -65,7 +65,9 @@ class TestRestrictedDatabase:
         assert restricted.full_cover().support() == restricted.n_active
         inactive = np.flatnonzero(~valids[1])
         for item_id in range(min(5, db.n_items)):
-            rows = set(restricted.covers()[item_id].to_indices().tolist())
+            # Covers speak the stored (unit-clustered) row order.
+            cover = restricted.covers()[item_id]
+            rows = set(np.flatnonzero(restricted.table_mask(cover)).tolist())
             assert rows.isdisjoint(inactive.tolist())
 
     def test_restrict_matches_filtered_table(self):

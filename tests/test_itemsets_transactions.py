@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MiningError
 from repro.etl.schema import Schema
 from repro.etl.table import Table
-from repro.itemsets.items import Item, ItemKind
+from repro.itemsets.coverset import COVER_CODECS
+from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.transactions import TransactionDatabase, encode_table
 
 
@@ -174,3 +177,116 @@ class TestSchemaInteraction:
         db = encode_table(table, schema)
         assert db.units is None
         assert db.n_units == 0
+
+
+# ---------------------------------------------------------------------------
+# Unit-count kernels vs a per-row bincount, at exact equality.
+# ---------------------------------------------------------------------------
+
+def _units_db(sizes, seed, codec="packed"):
+    """A units-only database with ``sizes[u]`` rows of unit ``u``, given
+    in a shuffled table order; returns it with its table-order labels."""
+    units = np.repeat(np.arange(len(sizes)), sizes)
+    np.random.default_rng(seed).shuffle(units)
+    empty = np.zeros(0, dtype=np.int64)
+    db = TransactionDatabase.from_item_arrays(
+        empty, empty, len(units), ItemDictionary(), units=units,
+        codec=codec,
+    )
+    return db, units
+
+
+def _segmented(db):
+    """The kernel selection rule: units average at least 64 rows."""
+    return 0 < db.n_units <= -(-len(db) // 64)
+
+
+def _assert_counts_match(db, units, masks, max_chunk_indices=1 << 22):
+    want = np.array(
+        [np.bincount(units[m], minlength=db.n_units) for m in masks],
+        dtype=np.int64,
+    ).reshape(len(masks), db.n_units)
+    covers = [db.as_cover(m) for m in masks]
+    for inputs in (masks, covers):
+        got = db.unit_counts_many(inputs, max_chunk_indices)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    for j, (mask, cover) in enumerate(zip(masks, covers)):
+        assert np.array_equal(db.unit_counts(mask), want[j])
+        assert np.array_equal(db.unit_counts(cover), want[j])
+
+
+def _masks(n, seed):
+    rng = np.random.default_rng(seed)
+    masks = [rng.random(n) < p for p in (0.05, 0.5, 0.95)]
+    return masks + [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+
+
+#: (unit sizes, kernel expected to run) — rows are shuffled in table
+#: order, so the unit-clustered layout is a real permutation.
+KERNEL_SHAPES = {
+    # n_rows % 64 == 0, every boundary (n_rows included) on a word edge.
+    "word-edges": ([64, 64, 128], True),
+    # Label gaps (empty units 1 and 3), n_rows % 64 != 0.
+    "gaps-ragged": ([100, 0, 37, 0, 200], True),
+    # Single-row units beside a large one.
+    "single-rows": ([1, 1, 1, 500], True),
+    # Boundaries one bit either side of a word edge.
+    "off-by-one": ([63, 2, 63, 1, 130], True),
+    # Tiny units: the gather kernel, ragged and word-aligned.
+    "gather-ragged": ([1] * 50 + [0, 3, 2], False),
+    "gather-aligned": ([2] * 64, False),
+}
+
+
+@pytest.mark.parametrize("codec", COVER_CODECS)
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+def test_unit_counts_match_bincount(shape, codec):
+    sizes, segmented = KERNEL_SHAPES[shape]
+    db, units = _units_db(sizes, seed=len(sizes), codec=codec)
+    assert _segmented(db) is segmented
+    assert db.n_units == len(sizes)
+    masks = _masks(len(db), seed=3)
+    _assert_counts_match(db, units, masks)
+    # A one-index budget forces one cover per chunk in either kernel.
+    _assert_counts_match(db, units, masks, max_chunk_indices=1)
+
+
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+def test_unit_counts_on_restricted_views(shape):
+    sizes, _ = KERNEL_SHAPES[shape]
+    db, units = _units_db(sizes, seed=11)
+    active, *masks = _masks(len(db), seed=5)[1:]
+    view = db.restrict(active)
+    covers = [view.full_cover()] + [view.as_cover(m) & view.full_cover()
+                                    for m in masks]
+    want = [np.bincount(units[active & m], minlength=db.n_units)
+            for m in [np.ones(len(db), dtype=bool)] + masks]
+    got = view.unit_counts_many(covers)
+    assert np.array_equal(got, np.array(want))
+    for j, cover in enumerate(covers):
+        assert np.array_equal(view.unit_counts(cover), want[j])
+
+
+@given(
+    sizes=st.lists(st.integers(0, 150), min_size=1, max_size=40).filter(
+        lambda s: s[-1] > 0
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_unit_counts_property(sizes, seed):
+    db, units = _units_db(sizes, seed)
+    _assert_counts_match(db, units, _masks(len(db), seed))
+
+
+def test_row_order_clusters_units_stably():
+    db, units = _units_db([3, 0, 2, 4], seed=1)
+    assert np.array_equal(db.units, np.sort(units))
+    assert np.array_equal(db.units, units[db.row_order])
+    # Rows of one unit keep their table order.
+    for u in range(db.n_units):
+        rows = db.row_order[db.units == u]
+        assert np.all(np.diff(rows) > 0)
+    mask = np.random.default_rng(0).random(len(db)) < 0.5
+    assert np.array_equal(db.table_mask(db.as_cover(mask)), mask)

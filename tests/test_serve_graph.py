@@ -154,6 +154,9 @@ class TestGraphEndpoints:
         assert status == 400 and b"out of range" in body
         status, _, body = wsgi_get(app, "/graph/clusters?k=oops")
         assert status == 400 and b"error" in body
+        for query in ("/graph/degree?k=-1", "/graph/clusters?k=-3"):
+            status, _, body = wsgi_get(app, query)
+            assert status == 400 and b"non-negative" in body, query
         status, _, body = wsgi_get(app, "/graph/nope")
         assert status == 404
 

@@ -185,6 +185,11 @@ class TestErrorSurface:
         assert status == 400
         assert "k" in json.loads(body)["error"]
 
+    def test_negative_k_400(self, app):
+        status, _, body = wsgi_get(app, "/top?k=-2")
+        assert status == 400
+        assert "non-negative" in json.loads(body)["error"]
+
     def test_unknown_index_400(self, app):
         for query in ("/top?index=NOPE", "/trend?index=NOPE",
                       "/pivot?index=NOPE&rows=ethnicity&cols=city"):
