@@ -4,11 +4,12 @@ PRs 1-6 made everything *above* the transaction database fast; this
 experiment pins the input side.  A finalTable CSV of ``E21_ROWS`` rows
 (default 10M) is generated on disk without ever materialising the table
 (:func:`~repro.data.synthetic.write_random_final_table_csv`), streamed
-back in fixed-size chunks (:func:`~repro.etl.stream.stream_csv`), folded
-append-only into the CSR transaction store with a spill budget
-(:class:`~repro.itemsets.transactions.EncodeAccumulator`), and the cube
-is filled once with the single-process columnar engine and once with the
-``multiprocessing`` parallel engine at ``E21_WORKERS`` processes.
+back in fixed-size chunks (:func:`~repro.etl.stream.stream_csv`, timed
+as ``csv_s``), folded append-only into the CSR transaction store with a
+spill budget (:class:`~repro.itemsets.transactions.EncodeAccumulator`,
+timed apart as ``encode_s``), and the cube is filled once with the
+single-process columnar engine and once with the ``multiprocessing``
+parallel engine at ``E21_WORKERS`` processes.
 
 Assertions pin the scale-up contract: the two fills produce *identical*
 cubes (atol=0), and the whole pipeline's peak RSS stays under
@@ -47,7 +48,7 @@ from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import CubeMetadata, SegregationCube, check_same_cells
 from repro.cube.parallel import fill_parallel
 from repro.data.synthetic import write_random_final_table_csv
-from repro.etl.stream import stream_csv
+from repro.etl.stream import DEFAULT_CHUNK_ROWS, stream_csv
 from repro.itemsets.eclat import typed_frequent_triples
 from repro.itemsets.parallel import partition_roots
 from repro.itemsets.transactions import EncodeAccumulator
@@ -83,13 +84,24 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
         )
         write_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
+        # Parsing (each next() of the CSV stream) and encoding
+        # (add_chunk + finalize) interleave chunk by chunk; time apart.
+        csv_seconds = encode_seconds = 0.0
         accumulator = EncodeAccumulator(schema, spill_bytes=SPILL_MB << 20)
-        for chunk in stream_csv(csv_path, schema=schema):
+        chunks = stream_csv(csv_path, schema=schema)
+        while True:
+            start = time.perf_counter()
+            chunk = next(chunks, None)
+            csv_seconds += time.perf_counter() - start
+            if chunk is None:
+                break
+            start = time.perf_counter()
             accumulator.add_chunk(chunk)
+            encode_seconds += time.perf_counter() - start
         spilled = accumulator.spilled
+        start = time.perf_counter()
         db = accumulator.finalize()
-        encode_seconds = time.perf_counter() - start
+        encode_seconds += time.perf_counter() - start
 
         builder = SegregationDataCubeBuilder(**LIMITS)
         start = time.perf_counter()
@@ -120,11 +132,11 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
         parallel_store = fill_parallel(parallel_builder, db, mined)
         parallel_seconds = time.perf_counter() - start
         return (schema, db, mined, columnar_store, parallel_store, spilled,
-                write_seconds, encode_seconds, mine_seconds, mine_scaling,
-                columnar_seconds, parallel_seconds)
+                write_seconds, csv_seconds, encode_seconds, mine_seconds,
+                mine_scaling, columnar_seconds, parallel_seconds)
 
     (schema, db, mined, columnar_store, parallel_store, spilled,
-     write_seconds, encode_seconds, mine_seconds, mine_scaling,
+     write_seconds, csv_seconds, encode_seconds, mine_seconds, mine_scaling,
      columnar_seconds, parallel_seconds) = benchmark.pedantic(
          run, rounds=1, iterations=1)
 
@@ -174,6 +186,8 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
     rows = [
         ["write CSV (streamed)", f"{write_seconds:.1f}",
          f"{csv_mb:.0f} MB on disk"],
+        ["parse CSV (streamed)", f"{csv_seconds:.1f}",
+         f"{-(-ROWS // DEFAULT_CHUNK_ROWS)} chunks"],
         ["encode (chunked, spill)", f"{encode_seconds:.1f}",
          f"spilled={spilled}, budget {SPILL_MB} MB"],
         ["mine (shared)", f"{mine_seconds:.1f}",
@@ -202,6 +216,7 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
         "n_units": N_UNITS,
         "csv_mb": csv_mb,
         "csv_write_s": write_seconds,
+        "csv_s": csv_seconds,
         "encode_s": encode_seconds,
         "encode_spilled": bool(spilled),
         "spill_budget_mb": SPILL_MB,

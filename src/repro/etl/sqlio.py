@@ -15,11 +15,14 @@ from pathlib import Path
 from typing import Union
 
 from repro.errors import TableError
-from repro.etl.csvio import SET_SEPARATOR
+from repro.etl.csvio import (
+    SET_SEPARATOR,
+    multi_valued_column,
+    require_unique_names,
+)
 from repro.etl.table import (
     CategoricalColumn,
     IntColumn,
-    MultiValuedColumn,
     Table,
 )
 
@@ -58,6 +61,7 @@ def read_query(
         if cursor.description is None:
             raise TableError(f"query returned no result set: {sql!r}")
         names = [d[0] for d in cursor.description]
+        require_unique_names(names, f"query {sql!r}")
         raw_columns: dict[str, list] = {name: [] for name in names}
         for row in cursor.fetchall():
             for name, cell in zip(names, row):
@@ -69,13 +73,8 @@ def read_query(
     columns: dict[str, object] = {}
     for name, values in raw_columns.items():
         if name in multi:
-            columns[name] = MultiValuedColumn.from_values(
-                [
-                    frozenset(str(v).split(SET_SEPARATOR))
-                    if v not in (None, "")
-                    else frozenset()
-                    for v in values
-                ]
+            columns[name] = multi_valued_column(
+                ["" if v is None else str(v) for v in values]
             )
         elif name in ints or all(
             isinstance(v, int) and not isinstance(v, bool) for v in values

@@ -1,14 +1,17 @@
 """Out-of-core ingestion: CSV and SQL sources as streams of table chunks.
 
 :func:`repro.etl.csvio.read_table` and :func:`repro.etl.sqlio.read_query`
-materialise the whole input — per-cell Python objects for every row —
-before a single transaction is encoded.  For 10M-row inputs that is the
-dominant memory cost of the pipeline.  This module streams the same
-sources as fixed-size :class:`~repro.etl.table.Table` chunks instead:
+return the whole input as one :class:`~repro.etl.table.Table`.  This
+module streams the same sources as fixed-size chunks instead, so peak
+memory is set by the chunk size, not by the row count:
 
-* :func:`stream_csv` — chunked counterpart of ``read_table`` (same
-  multi-valued / integer column conventions, same blank-line and
-  row-width semantics);
+* :func:`stream_csv` — chunked counterpart of ``read_table``, the same
+  column-wise reader (:func:`repro.etl.csvio.read_chunks`): quote-free
+  blocks of lines are split with ``str.split`` into strided column
+  slices, and from the first block holding a quote character on the
+  rest of the file goes through ``csv.reader``; each column is then
+  typed in one pass.  Same multi-valued / integer column conventions,
+  same blank-line and row-width semantics;
 * :func:`stream_query` — chunked counterpart of ``read_query`` over a
   SQLite cursor (``fetchmany``), with the integer-column auto-detection
   decided on the first chunk and then *locked* so every chunk types its
@@ -31,12 +34,15 @@ midway through the stream.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from repro.errors import TableError
-from repro.etl.csvio import SET_SEPARATOR, _parse_cell
+from repro.etl.csvio import (
+    multi_valued_column,
+    read_chunks,
+    require_unique_names,
+)
 from repro.etl.schema import Role, Schema
 from repro.etl.table import (
     CategoricalColumn,
@@ -101,40 +107,7 @@ def stream_csv(
         multi, ints = _schema_column_sets(schema)
     else:
         multi, ints = set(multi_valued), set(integer)
-    path = Path(path)
-    with path.open(newline="") as f:
-        reader = csv.reader(f, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableError(f"{path} is empty") from None
-        columns: "dict[str, list]" = {name: [] for name in header}
-        pending = 0
-        yielded = False
-        for row in reader:
-            if not row:
-                if len(header) == 1:
-                    row = [""]
-                else:
-                    continue
-            if len(row) != len(header):
-                raise TableError(
-                    f"{path}: row of width {len(row)} does not match "
-                    f"header of width {len(header)}"
-                )
-            for name, cell in zip(header, row):
-                columns[name].append(
-                    _parse_cell(cell, multi=name in multi,
-                                integer=name in ints)
-                )
-            pending += 1
-            if pending == chunk_rows:
-                yield _build_columns(header, columns, multi, ints)
-                columns = {name: [] for name in header}
-                pending = 0
-                yielded = True
-        if pending or not yielded:
-            yield _build_columns(header, columns, multi, ints)
+    yield from read_chunks(path, multi, ints, delimiter, chunk_rows)
 
 
 def stream_query(
@@ -172,6 +145,7 @@ def stream_query(
         if cursor.description is None:
             raise TableError(f"query returned no result set: {sql!r}")
         names = [d[0] for d in cursor.description]
+        require_unique_names(names, f"query {sql!r}")
         locked_ints: "set[str] | None" = None
         yielded = False
         while True:
@@ -208,13 +182,8 @@ def _build_table_sql(
     for j, name in enumerate(names):
         values = [r[j] for r in rows]
         if name in multi:
-            built[name] = MultiValuedColumn.from_values(
-                [
-                    frozenset(str(v).split(SET_SEPARATOR))
-                    if v not in (None, "")
-                    else frozenset()
-                    for v in values
-                ]
+            built[name] = multi_valued_column(
+                ["" if v is None else str(v) for v in values]
             )
         elif name in ints:
             try:

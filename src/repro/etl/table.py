@@ -30,6 +30,15 @@ from repro.errors import TableError
 ValueType = Union[str, int, float, bool]
 
 
+class _FirstSeenCodes(dict):
+    """``{value: code}`` that codes an unseen value when it is looked up,
+    so codes follow first-seen order."""
+
+    def __missing__(self, value: ValueType) -> int:
+        code = self[value] = len(self)
+        return code
+
+
 class CategoricalColumn:
     """A single-valued discrete column stored as integer codes.
 
@@ -58,17 +67,13 @@ class CategoricalColumn:
     @classmethod
     def from_values(cls, values: Iterable[ValueType]) -> "CategoricalColumn":
         """Build a column from raw values, assigning codes in first-seen order."""
-        categories: list[ValueType] = []
-        index: dict[ValueType, int] = {}
-        codes = []
-        for value in values:
-            code = index.get(value)
-            if code is None:
-                code = len(categories)
-                index[value] = code
-                categories.append(value)
-            codes.append(code)
-        return cls(np.asarray(codes, dtype=np.int32), categories)
+        if not isinstance(values, Sequence):
+            values = list(values)
+        index = _FirstSeenCodes()
+        codes = np.fromiter(
+            map(index.__getitem__, values), dtype=np.int32, count=len(values)
+        )
+        return cls(codes, list(index))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -115,11 +120,16 @@ class MultiValuedColumn:
     kind = "multivalued"
 
     def __init__(self, rows: Sequence[tuple[int, ...]], categories: Sequence[ValueType]):
-        self.rows: list[tuple[int, ...]] = [tuple(sorted(set(r))) for r in rows]
         self.categories: list[ValueType] = list(categories)
-        for row in self.rows:
-            if row and (row[0] < 0 or row[-1] >= len(self.categories)):
+        # Sort, deduplicate and range-check once per distinct row.
+        raw = list(map(tuple, rows))
+        canonical: dict = dict.fromkeys(raw)
+        for row in canonical:
+            codes = tuple(sorted(set(row)))
+            if codes and (codes[0] < 0 or codes[-1] >= len(self.categories)):
                 raise TableError("multi-valued code out of range")
+            canonical[row] = codes
+        self.rows: list[tuple[int, ...]] = list(map(canonical.__getitem__, raw))
         self._index = {value: code for code, value in enumerate(self.categories)}
 
     @classmethod

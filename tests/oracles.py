@@ -7,10 +7,19 @@ implementations are checked.
 
 from __future__ import annotations
 
+import csv
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
+from repro.errors import TableError
+from repro.etl.table import (
+    CategoricalColumn,
+    IntColumn,
+    MultiValuedColumn,
+    Table,
+)
 from repro.indexes.counts import UnitCounts
 from repro.itemsets.transactions import TransactionDatabase
 
@@ -106,3 +115,102 @@ def unit_counts_bruteforce(
         if is_minority:
             m[unit] += 1
     return UnitCounts(t, m)
+
+
+def _parse_cell_percell(path, name, row_no, text, multi, integer):
+    if multi:
+        if text == "":
+            return frozenset()
+        return frozenset(text.split("|"))
+    if integer:
+        try:
+            return int(text)
+        except ValueError:
+            raise TableError(
+                f"{path}: column {name!r}, data row {row_no}: "
+                f"expected integer cell, got {text!r}"
+            ) from None
+    return text
+
+
+def _table_percell(header, columns, multi, ints):
+    """Type per-cell values with explicit first-seen coding loops."""
+    built = {}
+    for name in header:
+        values = columns[name]
+        if name in multi:
+            categories, index, rows = [], {}, []
+            for value_set in values:
+                codes = []
+                for value in value_set:
+                    if value not in index:
+                        index[value] = len(categories)
+                        categories.append(value)
+                    codes.append(index[value])
+                rows.append(tuple(sorted(set(codes))))
+            built[name] = MultiValuedColumn(rows, categories)
+        elif name in ints:
+            built[name] = IntColumn(values)
+        else:
+            categories, index, codes = [], {}, []
+            for value in values:
+                if value not in index:
+                    index[value] = len(categories)
+                    categories.append(value)
+                codes.append(index[value])
+            built[name] = CategoricalColumn(
+                np.asarray(codes, dtype=np.int32), categories
+            )
+    return Table(built)
+
+
+def csv_chunks_percell(path, multi_valued=(), integer=(), delimiter=",",
+                       chunk_rows=None):
+    """Headed CSV as tables of ``chunk_rows`` rows, one ``csv.reader``
+    row and one parse per cell at a time (``None``: one table).
+
+    The row-at-a-time reader the column-wise ``read_chunks`` replaced:
+    blank lines skipped (an empty cell in a single-column file), ragged
+    rows and repeated header names rejected, ``|``-separated sets for
+    multi-valued columns, ``int()`` for integer ones.
+    """
+    multi, ints = set(multi_valued), set(integer)
+    path = Path(path)
+    with path.open(newline="") as f:
+        reader = csv.reader(f, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TableError(f"{path} is empty") from None
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise TableError(f"{path}: duplicate column name {name!r}")
+        columns = {name: [] for name in header}
+        pending = 0
+        row_no = 0
+        yielded = False
+        for row in reader:
+            if not row:
+                if len(header) == 1:
+                    row = [""]
+                else:
+                    continue
+            if len(row) != len(header):
+                raise TableError(
+                    f"{path}: row of width {len(row)} does not match "
+                    f"header of width {len(header)}"
+                )
+            row_no += 1
+            for name, cell in zip(header, row):
+                columns[name].append(_parse_cell_percell(
+                    path, name, row_no, cell, multi=name in multi,
+                    integer=name in ints,
+                ))
+            pending += 1
+            if pending == chunk_rows:
+                yield _table_percell(header, columns, multi, ints)
+                columns = {name: [] for name in header}
+                pending = 0
+                yielded = True
+        if pending or not yielded:
+            yield _table_percell(header, columns, multi, ints)

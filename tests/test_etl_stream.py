@@ -9,13 +9,21 @@ schema validation sees the columns.
 
 from __future__ import annotations
 
+import csv
+import io
 import sqlite3
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.data.synthetic import random_final_table
 from repro.errors import TableError
 from repro.etl import (
+    CategoricalColumn,
     IntColumn,
     MultiValuedColumn,
     Table,
@@ -29,6 +37,7 @@ from repro.etl import (
     write_table_sql,
 )
 from repro.itemsets.transactions import encode_table
+from tests.oracles import csv_chunks_percell
 
 
 @pytest.fixture()
@@ -118,6 +127,218 @@ def test_stream_csv_rejects_bad_chunk_rows(tmp_path):
         list(stream_csv(path, chunk_rows=0))
 
 
+def test_stream_csv_rejects_duplicate_header(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("a,a\nx,y\nz,w\n")
+    with pytest.raises(TableError, match="duplicate column name 'a'"):
+        list(stream_csv(path))
+    with pytest.raises(TableError, match="duplicate column name 'a'"):
+        read_table(path)
+    path.write_text("a,b,a\n1,2,3\n")
+    with pytest.raises(TableError, match="duplicate column name 'a'"):
+        read_table(path)
+
+
+def test_bad_integer_cell_is_located(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("g,unitID\nx,1\n\ny,2\nz,oops\n")
+    message = f"{path}: column 'unitID', data row 3: " \
+        "expected integer cell, got 'oops'"
+    with pytest.raises(TableError) as excinfo:
+        read_table(path, integer=["unitID"])
+    assert str(excinfo.value) == message
+    with pytest.raises(TableError) as excinfo:
+        list(stream_csv(path, integer=["unitID"], chunk_rows=2))
+    assert str(excinfo.value) == message
+
+
+def test_bad_integer_cell_reported_in_row_order(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n1,2\n3,x\ny,4\n")
+    with pytest.raises(TableError, match="column 'b', data row 2"):
+        read_table(path, integer=["a", "b"])
+
+
+def test_bad_integer_cell_above_ragged_row_wins(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\nx,1\n2\n")
+    with pytest.raises(TableError, match="expected integer cell"):
+        list(stream_csv(path, integer=["a"], chunk_rows=5))
+
+
+# ----------------------------------------------------------------------
+# stream_csv / read_table vs the per-cell oracle
+# ----------------------------------------------------------------------
+
+def _outcome(chunks):
+    """Drain a chunk iterator: (tables yielded, (error type, message))."""
+    tables = []
+    try:
+        for table in chunks:
+            tables.append(table)
+    except TableError as exc:
+        return tables, (type(exc), str(exc))
+    return tables, None
+
+
+def _assert_same_table(got: Table, want: Table) -> None:
+    assert got.names == want.names
+    for name in want.names:
+        a, b = got.column(name), want.column(name)
+        assert type(a) is type(b)
+        if isinstance(b, IntColumn):
+            assert a.data.dtype == b.data.dtype
+            assert np.array_equal(a.data, b.data)
+            continue
+        assert a.categories == b.categories
+        assert [type(c) for c in a.categories] == \
+            [type(c) for c in b.categories]
+        if isinstance(b, CategoricalColumn):
+            assert a.codes.dtype == b.codes.dtype
+            assert np.array_equal(a.codes, b.codes)
+        else:
+            assert a.rows == b.rows
+
+
+def _assert_same_as_oracle(text, multi, ints, delimiter, chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode())
+        for got, want in (
+            (stream_csv(path, multi_valued=multi, integer=ints,
+                        delimiter=delimiter, chunk_rows=chunk_rows),
+             csv_chunks_percell(path, multi, ints, delimiter, chunk_rows)),
+            (_one(read_table, path, multi, ints, delimiter),
+             csv_chunks_percell(path, multi, ints, delimiter)),
+        ):
+            got_tables, got_error = _outcome(got)
+            want_tables, want_error = _outcome(want)
+            assert got_error == want_error
+            assert len(got_tables) == len(want_tables)
+            for g, w in zip(got_tables, want_tables):
+                _assert_same_table(g, w)
+
+
+def _one(read, *args):
+    """A one-shot reader as a lazy one-chunk stream."""
+    yield read(*args)
+
+
+CELL = st.text(alphabet='ab|,;\t" \r\n', max_size=4)
+TERMINATOR = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_documents(draw):
+    """A typed table written by ``csv.writer`` in varied dialects."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from("xyzw"), min_size=width,
+                          max_size=width))
+    kinds = draw(st.lists(st.sampled_from(["cat", "multi", "int"]),
+                          min_size=width, max_size=width))
+    n_rows = draw(st.integers(0, 20))
+    rows = []
+    for _ in range(n_rows):
+        row = []
+        for kind in kinds:
+            if kind == "int":
+                row.append(str(draw(st.integers(-5, 300))))
+            elif kind == "multi":
+                row.append("|".join(draw(st.lists(
+                    st.sampled_from(["a", "b", "c", ""]), max_size=3))))
+            else:
+                row.append(draw(CELL))
+        rows.append(row)
+    # A late quote: only cells from `quote_from` on may need quoting.
+    quote_from = draw(st.integers(0, n_rows))
+    for row in rows[:quote_from]:
+        for j, kind in enumerate(kinds):
+            if kind == "cat":
+                row[j] = "".join(
+                    c for c in row[j] if c not in f'"\r\n{delimiter}')
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter,
+                        lineterminator=draw(TERMINATOR))
+    writer.writerow(names)
+    writer.writerows(rows)
+    text = out.getvalue()
+    lines = text.splitlines(keepends=True)
+    if n_rows and draw(st.booleans()):
+        # Blank lines between records.
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, draw(TERMINATOR))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    multi = [n for n, k in zip(names, kinds) if k == "multi"]
+    ints = [n for n, k in zip(names, kinds) if k == "int"]
+    return text, multi, ints, delimiter
+
+
+@st.composite
+def raw_documents(draw):
+    """Free-form lines: ragged rows, stray quotes, bad integers."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    width = draw(st.integers(1, 3))
+    header = delimiter.join(f"c{j}" for j in range(width))
+    lines = draw(st.lists(
+        st.text(alphabet=f'a1|" {delimiter}', max_size=6), max_size=15))
+    terminators = draw(st.lists(TERMINATOR, min_size=len(lines) + 1,
+                                max_size=len(lines) + 1))
+    text = header + "".join(t + line for t, line in zip(terminators, lines))
+    if draw(st.booleans()):
+        text += terminators[-1]
+    columns = [f"c{j}" for j in range(width)]
+    multi = draw(st.lists(st.sampled_from(columns), max_size=1))
+    ints = draw(st.lists(st.sampled_from(columns), max_size=2))
+    return text, multi, ints, delimiter
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(csv_documents(), st.sampled_from([1, 7, 65536]))
+def test_stream_csv_matches_percell_oracle(document, chunk_rows):
+    text, multi, ints, delimiter = document
+    _assert_same_as_oracle(text, multi, ints, delimiter, chunk_rows)
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw_documents(), st.sampled_from([1, 7, 65536]))
+def test_stream_csv_matches_percell_oracle_on_raw_lines(document,
+                                                        chunk_rows):
+    text, multi, ints, delimiter = document
+    _assert_same_as_oracle(text, multi, ints, delimiter, chunk_rows)
+
+
+@pytest.mark.parametrize("text", [
+    'a,b\nx,"1,2"\ny,""""\n',              # quoted delimiter, escaped quote
+    'a,b\nx,1\ny,2\nz,"multi\nline"\nw,3\n',  # quote after the first block
+    "a,b\r\nx,1\r\n\r\ny,2",                # CRLF, blank line, no final newline
+    "a,b\rx,1\ry,2\r",                      # lone CR
+    "a\n\nx\n\n",                           # blank lines in one column
+    "a,b\nx,1\n2\n",                         # ragged row
+    "a,a\nx,y\n",                            # duplicate header
+    "a,b\nx,1\n\ny,2,3\n",                    # ragged after a blank line
+])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 7, 65536])
+def test_stream_csv_oracle_cases(text, chunk_rows):
+    _assert_same_as_oracle(text, ["b"], [], ",", chunk_rows)
+    _assert_same_as_oracle(text, [], [], ",", chunk_rows)
+
+
+def test_multi_valued_cells_parse_once_per_distinct_string(tmp_path):
+    path = tmp_path / "mv.csv"
+    path.write_text("mv\na|a\n\nb|a\na|a\n|\n")
+    column = read_table(path, multi_valued=["mv"]).multivalued("mv")
+    assert column.categories == ["a", "b", ""]
+    assert column.values() == [
+        frozenset("a"), frozenset(), frozenset("ab"), frozenset("a"),
+        frozenset([""]),
+    ]
+
+
 # ----------------------------------------------------------------------
 # stream_query
 # ----------------------------------------------------------------------
@@ -147,6 +368,17 @@ def test_stream_query_locks_int_detection_across_chunks():
     assert isinstance(first.column("x"), IntColumn)
     with pytest.raises(TableError):
         next(stream)
+
+
+def test_query_readers_reject_duplicate_column_names():
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE t (a, b)")
+    conn.execute("INSERT INTO t VALUES ('x', 'y')")
+    sql = "SELECT a, b AS a FROM t"
+    with pytest.raises(TableError, match="duplicate column name 'a'"):
+        list(stream_query(conn, sql))
+    with pytest.raises(TableError, match="duplicate column name 'a'"):
+        read_query(conn, sql)
 
 
 def test_stream_query_empty_result_yields_one_empty_chunk():
